@@ -59,7 +59,10 @@ mvcc-api        Delta-matrix internals stay inside the graph layer:
                 try_pin/pin_or_fork/invalidate for epochs and
                 Graph::delta_counts() for the GRAPH.INFO gauges — so
                 the MVCC representation can change without touching
-                the server.
+                the server.  Within src/server/ there is one way to
+                publish an epoch: invalidate()/pin_or_fork() may be
+                called only from the commit step (CommandCtx::commit,
+                behind journal()/journal_batch()) and Server::pin.
 
 mem-accounting  Two-sided memory-subsystem hygiene.  (a) The files
                 that own tracked allocations (util/data_block.hpp,
@@ -129,8 +132,9 @@ def strip_comments(text):
     return "".join(out)
 
 
-def body_of(text, decl_re):
-    """The brace-balanced body following the first match of decl_re."""
+def body_span(text, decl_re):
+    """(start, end) of the brace-balanced body following the first match
+    of decl_re, or None."""
     m = decl_re.search(text)
     if not m:
         return None
@@ -141,7 +145,13 @@ def body_of(text, decl_re):
     while j < len(text) and depth:
         depth += {"{": 1, "}": -1}.get(text[j], 0)
         j += 1
-    return text[i + 1:j - 1]
+    return i + 1, j - 1
+
+
+def body_of(text, decl_re):
+    """The brace-balanced body following the first match of decl_re."""
+    span = body_span(text, decl_re)
+    return None if span is None else text[span[0]:span[1]]
 
 
 class Finding:
@@ -383,14 +393,21 @@ MVCC_INTERNALS_RE = re.compile(
     r"|\bGraphSnapshot\s*\(")
 
 
+# The only server-side functions that may retire or publish an epoch.
+EPOCH_CALL_RE = re.compile(r"\b(?:invalidate|pin_or_fork)\s*\(")
+EPOCH_PUBLISHERS_RE = re.compile(
+    r"\b(?:CommandCtx::commit|Server::pin)\s*\(")
+
+
 def check_mvcc_api(path, text):
     p = path.replace("\\", "/")
     if p.startswith("src/graphblas/") or p.startswith("src/graph/"):
         return []
     findings = []
     stripped = strip_comments(text)
+    raw_lines = text.splitlines()
     for lineno, (line, raw) in enumerate(
-            zip(stripped.splitlines(), text.splitlines()), 1):
+            zip(stripped.splitlines(), raw_lines), 1):
         m = MVCC_INTERNALS_RE.search(line)
         if not m or allowed(raw, "mvcc-api"):
             continue
@@ -400,6 +417,28 @@ def check_mvcc_api(path, text):
             f"delta overlays and snapshot construction are graph-layer "
             f"internals; use the snapshot-pin API (EpochManager::"
             f"try_pin/pin_or_fork/invalidate, Graph::delta_counts)"))
+    if not p.startswith("src/server/"):
+        return findings
+    # Every definition of a sanctioned publisher in this file.
+    spans, pos = [], 0
+    while True:
+        span = body_span(stripped[pos:], EPOCH_PUBLISHERS_RE)
+        if span is None:
+            break
+        spans.append((pos + span[0], pos + span[1]))
+        pos += span[1]
+    for m in EPOCH_CALL_RE.finditer(stripped):
+        if any(a <= m.start() < b for a, b in spans):
+            continue
+        lineno = stripped.count("\n", 0, m.start()) + 1
+        if allowed(raw_lines[lineno - 1], "mvcc-api"):
+            continue
+        findings.append(Finding(
+            path, lineno, "mvcc-api",
+            f"`{m.group(0).rstrip('( ')}` outside the commit step and "
+            f"Server::pin: every write retires and republishes its epoch "
+            f"in CommandCtx::commit (via journal()), and reads fork only "
+            f"through Server::pin"))
     return findings
 
 
@@ -624,9 +663,26 @@ SELF_TESTS = [
       void good(GraphEntry& ge) {
         auto snap = ge.epochs.try_pin();           // sanctioned API
         const auto [plus, minus] = g.delta_counts();
-        ge.epochs.invalidate();
       }
     """, "src/server/good.cpp"),
+    (check_mvcc_api, "mvcc-api", """
+      Reply CommandHandlers::bulk(CommandCtx& ctx) {
+        util::WriteLock lk(ge.lock);
+        ctx.journal_batch(argv, n);
+        if (auto retired = ge.epochs.invalidate())   // a second publisher
+          ge.epochs.pin_or_fork(ge.graph, ge.last_lsn);
+      }
+    """, "src/server/command.cpp"),
+    (check_mvcc_api, None, """
+      std::uint64_t CommandCtx::commit(const Frame& frame, const N* n) {
+        auto retired = ge ? ge->epochs.invalidate() : nullptr;
+        if (retired) ge->epochs.pin_or_fork(ge->graph, ge->last_lsn);
+      }
+      std::shared_ptr<const Snap> Server::pin(GraphEntry& ge) {
+        if (auto snap = ge.epochs.try_pin()) return snap;
+        return ge.epochs.pin_or_fork(ge.graph, ge.last_lsn);
+      }
+    """, "src/server/command.cpp"),
     (check_mvcc_api, None, """
       // The rule is scoped: the graph layer owns these members.
       void Matrix::fold() { delta_plus_.clear(); }

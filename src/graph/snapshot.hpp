@@ -4,32 +4,28 @@
 // fork of the graph taken at a known WAL watermark.  Readers pin it
 // (shared_ptr copy) and run entirely lock-free against the fork while
 // writers keep mutating the live graph under the entry's exclusive
-// lock.  The protocol is invalidate-on-commit / fork-on-pin:
+// lock.  The protocol has one commit step and one pin:
 //
-//   pin (fast)   EpochManager::try_pin() returns the published epoch.
-//                Because every writer invalidates at commit, a non-null
-//                epoch ALWAYS reflects every acknowledged write — the
-//                fast path needs no graph lock at all.
-//   pin (slow)   No epoch is published (a writer just committed, or the
-//                key is fresh).  The caller briefly takes the entry's
-//                SHARED lock — excluding writers, not readers — forks
-//                the live graph (O(delta): matrices share immutable CSR
-//                bodies, datablock pages are copy-on-write) and
-//                publishes it via pin_or_fork().  Slow pinners are
-//                single-flighted (pin_single_flight): one forks, the
-//                rest wait for its publish instead of forking too.
-//   invalidate   Writers clear the published epoch at commit, while
-//                still holding the exclusive entry lock.  Zero cost
-//                when no reader ever pins.  A retired epoch proves
-//                readers are active, so committing writers immediately
-//                fork and publish the successor (publish-on-commit) —
-//                readers never see an epoch gap under write churn.
-//   coalesce     A background thread folds the fork's delta overlays
-//                and rebuilds stale transposes (GraphSnapshot::
-//                coalesce()) so the first reader does not pay the fold.
+//   commit       Every write ends in CommandCtx's commit step, under the
+//                exclusive entry lock: invalidate() the published epoch
+//                BEFORE the WAL append, flush the live graph, append and
+//                advance the watermark, then — only if an epoch was
+//                retired, i.e. readers are active — publish the
+//                successor with pin_or_fork() at the new watermark.  A
+//                write-only key never forks.
+//   pin          try_pin() returns the published epoch.  Because every
+//                commit retires before its append and republishes before
+//                it unlocks, a published epoch ALWAYS reflects every
+//                acknowledged write — the pin needs no graph lock.  It
+//                misses only on a fresh or restored key: the caller then
+//                takes the entry's SHARED lock, forks the live graph
+//                (O(delta): matrices share immutable CSR bodies,
+//                datablock pages are copy-on-write) and publishes it via
+//                pin_or_fork().
 //   retire       Epochs die by refcount: the manager's pointer plus
 //                every pinned reader.  A snapshot therefore outlives
-//                GRAPH.DELETE on its key.
+//                GRAPH.DELETE on its key; the retired epoch's teardown
+//                is deferred to a background thread.
 //
 // The full lifecycle and its invariants are documented in
 // docs/CONCURRENCY.md.
@@ -54,7 +50,6 @@ struct MvccStats {
   std::atomic<std::uint64_t> pins_fast{0};
   std::atomic<std::uint64_t> pins_slow{0};
   std::atomic<std::uint64_t> invalidations{0};
-  std::atomic<std::uint64_t> coalesce_runs{0};
 };
 
 /// One pinned epoch: an immutable fork of a graph at a WAL watermark.
@@ -75,9 +70,10 @@ class GraphSnapshot {
   GraphSnapshot& operator=(const GraphSnapshot&) = delete;
 
   /// The forked graph.  Logically immutable; the reference is non-const
-  /// because the executor API takes Graph& and flush() folds the delta
-  /// overlays (a physical-representation change, internally
-  /// synchronized — concurrent readers of one snapshot are safe).
+  /// because the executor API takes Graph& and flush() folds any delta
+  /// overlays a fork of an unflushed graph carries (a physical-
+  /// representation change, internally synchronized — concurrent
+  /// readers of one snapshot are safe).
   Graph& graph() const { return *g_; }
 
   /// Epoch id, unique and increasing per graph key.
@@ -90,15 +86,6 @@ class GraphSnapshot {
   /// against it without holding any lock.
   std::uint64_t last_lsn() const { return last_lsn_; }
 
-  /// Fold delta overlays and rebuild stale transposes now, so the first
-  /// pinned reader finds fully materialized matrices (the background
-  /// coalescer calls this; racing readers are safe — flush() is
-  /// internally synchronized).
-  void coalesce() const {
-    g_->flush();
-    if (stats_) stats_->coalesce_runs.fetch_add(1, std::memory_order_relaxed);
-  }
-
  private:
   std::unique_ptr<Graph> g_;
   std::uint64_t epoch_ = 0;
@@ -110,31 +97,23 @@ class GraphSnapshot {
 /// thread-safe; mu_ is a leaf mutex held only for pointer swaps.
 class EpochManager {
  public:
-  /// Fast path: the published epoch, or nullptr when a writer
-  /// invalidated (caller must then fork under the entry's shared lock
-  /// and call pin_or_fork).  Never blocks on graph state; when nothing
-  /// is published the miss is a single atomic load, so writers probing
-  /// between their own commits never touch mu_.
+  /// The published epoch, or nullptr on a fresh or restored key (the
+  /// caller must then fork under the entry's shared lock and call
+  /// pin_or_fork).  Never blocks on graph state.
   std::shared_ptr<const GraphSnapshot> try_pin() const {
-    if (!published_.load(std::memory_order_acquire)) return nullptr;
     util::MutexLock lk(mu_);
     if (current_) stats_->pins_fast.fetch_add(1, std::memory_order_relaxed);
     return current_;
   }
 
-  /// Slow path.  Caller MUST hold the entry lock at least shared (so no
-  /// writer can commit mid-fork) and pass the live graph plus its
-  /// current WAL watermark.  If a concurrent pinner published first,
-  /// that epoch wins and the extra fork is dropped.
+  /// Fork and publish.  Caller MUST hold the entry lock (shared for a
+  /// reader's pin, exclusive in the commit step) so no writer can
+  /// commit mid-fork, and pass the live graph plus its current WAL
+  /// watermark.  If a concurrent pinner published first, that epoch
+  /// wins and the extra fork is dropped.
   std::shared_ptr<const GraphSnapshot> pin_or_fork(const Graph& g,
                                                    std::uint64_t last_lsn) {
-    {
-      util::MutexLock lk(mu_);
-      if (current_) {
-        stats_->pins_fast.fetch_add(1, std::memory_order_relaxed);
-        return current_;
-      }
-    }
+    if (auto snap = try_pin()) return snap;
     auto fork = g.fork();  // outside mu_: O(delta), but not trivial
     util::MutexLock lk(mu_);
     if (current_) {
@@ -143,112 +122,35 @@ class EpochManager {
     }
     current_ = std::make_shared<GraphSnapshot>(std::move(fork), next_epoch_++,
                                                last_lsn, stats_);
-    published_.store(true, std::memory_order_release);
     stats_->epochs_published.fetch_add(1, std::memory_order_relaxed);
     stats_->pins_slow.fetch_add(1, std::memory_order_relaxed);
     return current_;
   }
 
-  /// Single-flight wrapper around the slow path.  `slow_pin` must take
-  /// the entry's shared lock, fork, and publish via pin_or_fork().  At
-  /// most ONE caller runs it per epoch gap: the first slow pinner after
-  /// an invalidation becomes the forker, everyone else sleeps on cv_
-  /// and returns the epoch the forker publishes — so a commit wakes one
-  /// fork, not one per waiting reader, and only the forker ever touches
-  /// the entry lock (writers no longer drain a convoy of shared
-  /// holders).  mu_ is NOT held across slow_pin, so the entry lock →
-  /// mu_ ordering inside it matches the writer's invalidate() path.
-  template <typename Fn>
-  std::shared_ptr<const GraphSnapshot> pin_single_flight(Fn&& slow_pin) {
-    for (;;) {
-      bool lead = false;
-      {
-        util::MutexLock lk(mu_);
-        if (current_) {
-          stats_->pins_fast.fetch_add(1, std::memory_order_relaxed);
-          return current_;
-        }
-        if (!forking_) forking_ = lead = true;
-      }
-      if (lead) break;
-      // Another pinner is mid-fork.  A fork is O(delta) — typically
-      // single-digit microseconds — so spin on the publish flag first;
-      // a futex sleep/wake round trip would cost more than the wait.
-      for (int i = 0; i < kForkSpinIters; ++i) {
-        if (published_.load(std::memory_order_acquire)) break;
-        util::cpu_relax();
-      }
-      {
-        util::MutexLock lk(mu_);
-        for (;;) {
-          if (current_) {
-            stats_->pins_fast.fetch_add(1, std::memory_order_relaxed);
-            return current_;
-          }
-          if (!forking_) break;  // forker failed or was re-invalidated
-          cv_.wait(mu_);
-        }
-      }
-      // No epoch and nobody forking: loop around and become the lead.
-    }
-    std::shared_ptr<const GraphSnapshot> snap;
-    try {
-      snap = slow_pin();
-    } catch (...) {
-      {
-        util::MutexLock lk(mu_);
-        forking_ = false;
-      }
-      cv_.notify_all();
-      throw;
-    }
-    {
-      util::MutexLock lk(mu_);
-      forking_ = false;
-    }
-    cv_.notify_all();
-    return snap;
-  }
-
-  /// Writer commit hook: retire the published epoch (pinned readers
-  /// keep theirs alive).  MUST run before the writer releases its
-  /// exclusive entry lock — that ordering is what makes a non-null
-  /// published epoch always current.
+  /// The commit step's first move: retire the published epoch (pinned
+  /// readers keep theirs alive).  MUST run under the exclusive entry
+  /// lock and before the write's WAL append — that ordering is what
+  /// makes a published epoch always current, also for a snapshot
+  /// rewrite that pins between the append and the unlock.
   ///
   /// Returns the retired epoch instead of dropping it: when no reader
   /// holds a pin, the manager's reference is the LAST one, and dropping
-  /// it here would destroy the whole forked graph under mu_ while the
-  /// writer still holds its exclusive entry lock — stalling every
-  /// try_pin for the teardown.  Callers with a reaper thread
+  /// it here would destroy the whole forked graph under the writer's
+  /// exclusive entry lock.  Callers with a reaper thread
   /// (Server::retire_epoch) defer the destruction; ignoring the return
   /// value just tears down inline, which is correct but slow.
   std::shared_ptr<const GraphSnapshot> invalidate() {
-    std::shared_ptr<const GraphSnapshot> retired;
-    {
-      util::MutexLock lk(mu_);
-      if (!current_) return nullptr;
-      retired = std::move(current_);
-      published_.store(false, std::memory_order_release);
-      stats_->invalidations.fetch_add(1, std::memory_order_relaxed);
-    }
-    return retired;
+    util::MutexLock lk(mu_);
+    if (!current_) return nullptr;
+    stats_->invalidations.fetch_add(1, std::memory_order_relaxed);
+    return std::move(current_);
   }
 
   /// Monotonic counters for GRAPH.INFO mvcc.
   const MvccStats& stats() const { return *stats_; }
 
  private:
-  /// Spin budget while another thread runs the O(delta) fork (~1k
-  /// iterations of cpu_relax is a few microseconds — the fork's own
-  /// scale).  Past this, fall back to the CondVar.
-  static constexpr int kForkSpinIters = 4096;
-
   mutable util::Mutex mu_;
-  util::CondVar cv_;
-  bool forking_ RG_GUARDED_BY(mu_) = false;
-  /// Lock-free mirror of `current_ != nullptr` so pin fast-path misses
-  /// and single-flight spin-waiters never touch mu_.
-  std::atomic<bool> published_{false};
   std::shared_ptr<const GraphSnapshot> current_ RG_GUARDED_BY(mu_);
   std::uint64_t next_epoch_ RG_GUARDED_BY(mu_) = 0;
   std::shared_ptr<MvccStats> stats_ = std::make_shared<MvccStats>();

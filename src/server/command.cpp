@@ -356,38 +356,55 @@ std::unique_lock<util::SharedMutex> CommandCtx::exclusive_lock() {
 
 bool CommandCtx::durable() const { return srv_.durability_ != nullptr; }
 
-// last_lsn is guarded by the entry's lock, which the CALLER holds (the
-// journaling contract: append after commit, under the exclusive lock).
-// The analysis is intraprocedural and cannot see the caller's guard
-// through the ctx indirection, so the definitions opt out; the contract
-// itself is enforced where the lock is visible — every built-in write
-// handler journals inside its util::WriteLock scope.
-std::uint64_t CommandCtx::journal(const std::vector<std::string>& frame)
-    RG_NO_THREAD_SAFETY_ANALYSIS {
-  if (!(spec_.flags & kWrite))
-    throw std::logic_error("journal() on a command without kWrite");
-  // Replay and replication apply frames that are already journaled
-  // (locally or on the primary) — re-journaling would duplicate them.
-  if (!srv_.durability_ || source_ != CommandSource::kClient) return 0;
-  if (!entry_) return srv_.durability_->append(frame);
-  const std::uint64_t lsn = srv_.durability_->append_if(frame, [&] {
-    return !entry_->unlinked.load(std::memory_order_acquire);
-  });
-  if (lsn != 0) entry_->last_lsn = lsn;
-  return lsn;
+std::uint64_t CommandCtx::journal(const std::vector<std::string>& frame) {
+  return commit(frame, nullptr);
 }
 
 std::uint64_t CommandCtx::journal_batch(const std::vector<std::string>& frame,
-                                        std::uint64_t entities)
+                                        std::uint64_t entities) {
+  return commit(frame, &entities);
+}
+
+// The entry's graph and last_lsn are guarded by its lock, which the
+// CALLER holds exclusive (the commit contract).  The analysis is
+// intraprocedural and cannot see the caller's guard through the ctx
+// indirection, so the definition opts out; the contract itself is
+// enforced where the lock is visible — every built-in write handler
+// journals inside its util::WriteLock scope.
+std::uint64_t CommandCtx::commit(const std::vector<std::string>& frame,
+                                 const std::uint64_t* batch_entities)
     RG_NO_THREAD_SAFETY_ANALYSIS {
   if (!(spec_.flags & kWrite))
-    throw std::logic_error("journal_batch() on a command without kWrite");
-  if (!srv_.durability_ || source_ != CommandSource::kClient) return 0;
-  const std::uint64_t lsn = srv_.durability_->append_batch_if(
-      frame, entities, [&] {
-        return !entry_ || !entry_->unlinked.load(std::memory_order_acquire);
-      });
-  if (lsn != 0 && entry_) entry_->last_lsn = lsn;
+    throw std::logic_error("journal() on a command without kWrite");
+  GraphEntry* ge = entry_.get();
+  // 1. Retire before the append: from here until the republish below no
+  //    epoch is published, so a snapshot rewrite or REPL.SNAPSHOT that
+  //    pins in between forks under the shared lock after this commit,
+  //    never serializes the pre-write epoch against a log that already
+  //    holds the write.
+  auto retired = ge ? ge->epochs.invalidate() : nullptr;
+  // 2. Re-sync matrices so readers' flush() is a no-op and every fork
+  //    starts from folded matrices.
+  if (ge) ge->graph.flush();
+  // 3. Append.  Replay and replication apply frames that are already
+  //    journaled (locally or on the primary) — re-journaling would
+  //    duplicate them.
+  std::uint64_t lsn = 0;
+  if (srv_.durability_ && source_ == CommandSource::kClient) {
+    const auto linked = [&] {
+      return !ge || !ge->unlinked.load(std::memory_order_acquire);
+    };
+    lsn = batch_entities ? srv_.durability_->append_batch_if(
+                               frame, *batch_entities, linked)
+                         : srv_.durability_->append_if(frame, linked);
+    if (lsn != 0 && ge) ge->last_lsn = lsn;
+  }
+  // 4. A retired epoch proves readers are active on this key: publish
+  //    the successor before the lock drops, so they never see an epoch
+  //    gap.  With no readers, writes stay zero-COW.
+  if (retired) ge->epochs.pin_or_fork(ge->graph, ge->last_lsn);
+  // 5. Teardown on the reaper thread, not under this lock.
+  srv_.retire_epoch(std::move(retired));
   return lsn;
 }
 
@@ -518,7 +535,6 @@ Reply CommandHandlers::info(CommandCtx& ctx) {
     urow("MVCC_PINS_FAST", mi.pins_fast);
     urow("MVCC_PINS_SLOW", mi.pins_slow);
     urow("MVCC_INVALIDATIONS", mi.invalidations);
-    urow("MVCC_COALESCE_RUNS", mi.coalesce_runs);
     urow("MVCC_DELTA_PLUS", mi.delta_plus);
     urow("MVCC_DELTA_MINUS", mi.delta_minus);
   }
@@ -689,68 +705,8 @@ Reply CommandHandlers::run_query(CommandCtx& ctx, bool read_only_cmd,
   // Alias the entry so the lock expression and the guarded accesses
   // share one root the analysis can match (`ge.lock` guards `ge.graph`).
   GraphEntry& ge = *ctx.entry();
-
-  // Read path: pin the current MVCC epoch and run against that snapshot
-  // with NO entry lock held — an in-flight writer never blocks readers,
-  // and the plan-cache lease discipline is unchanged (acquire rebinds
-  // every lease, here to the snapshot's graph).  Write-capable commands
-  // (GRAPH.QUERY/PROFILE) probe with try_pin only: a writer that just
-  // invalidated must not fork an epoch it is about to invalidate again,
-  // nor sleep waiting for a reader's fork — with no epoch published it
-  // goes straight to the exclusive path below.
-  bool first_acquire_hit = false;
-  bool probed = false;
-  {
-    const auto snap = read_only_cmd ? ctx.pin() : ge.epochs.try_pin();
-    if (snap) {
-      probed = true;
-      auto lease =
-          ge.plan_cache.acquire(snap->graph(), split.body, split.params);
-      first_acquire_hit = lease.hit();
-      if (lease->read_only()) {
-        Reply reply;
-        if (profile) {
-          reply.kind = Reply::Kind::kText;
-          reply.text = profile_text(lease, reply.result);
-        } else {
-          reply.kind = Reply::Kind::kResult;
-          lease->run(reply.result);
-        }
-        return reply;
-      }
-      if (read_only_cmd)
-        return error(
-            "graph.RO_QUERY is to be executed only on read-only queries");
-    }
-  }
-
-  // Write path: exclusive lock (the spec carries kWrite, or
-  // exclusive_lock() would refuse).  Re-acquire the plan — the schema
-  // may have moved between the snapshot probe above and getting this
-  // lock — without counting again: this is still the same logical query.
-  Reply reply;
-  {
-    util::WriteLock lk(ge.lock);
-    auto lease = ge.plan_cache.acquire(ge.graph, split.body, split.params,
-                                       64, /*count_stats=*/!probed);
-    if (probed) lease.set_hit_for_reporting(first_acquire_hit);
-    if (lease->read_only()) {
-      // Read-only body but no epoch was published to probe (a writer
-      // just invalidated).  Run it here under the exclusive lock —
-      // nothing mutates, so no journal and no invalidation — and
-      // publish a fresh epoch before the lock drops so subsequent
-      // reads pin it instead of re-entering this path.
-      if (profile) {
-        reply.kind = Reply::Kind::kText;
-        reply.text = profile_text(lease, reply.result);
-      } else {
-        reply.kind = Reply::Kind::kResult;
-        lease->run(reply.result);
-      }
-      ge.epochs.pin_or_fork(ge.graph, ge.last_lsn);
-      ctx.mark_epochs_settled();
-      return reply;
-    }
+  auto run = [&](exec::PlanCache::Lease& lease) {
+    Reply reply;
     if (profile) {
       reply.kind = Reply::Kind::kText;
       reply.text = profile_text(lease, reply.result);
@@ -758,32 +714,56 @@ Reply CommandHandlers::run_query(CommandCtx& ctx, bool read_only_cmd,
       reply.kind = Reply::Kind::kResult;
       lease->run(reply.result);
     }
-    // Re-sync matrices before the write lock drops so readers' flush() is
-    // a read-only no-op (their shared lock cannot rebuild transposes),
-    // and so the next epoch fork starts from folded matrices.
-    ge.graph.flush();
-    // Journal after commit, before the reply is released; a PROFILE of a
-    // writing query replays as the plain query.
-    ctx.journal({"GRAPH.QUERY", ctx.key(), raw});
-    // Retire the published epoch while still exclusive: once this lock
-    // drops, any published epoch must already reflect this write (see
-    // graph/snapshot.hpp).  Teardown is deferred to the coalescer
-    // thread — destroying the dead fork here would happen under both
-    // the entry lock and the epoch mutex, stalling every reader pin.
-    //
-    // A retired epoch proves readers are active on this key, so publish
-    // the successor right here (publish-on-commit): the O(delta) fork
-    // under the exclusive lock costs the writer microseconds and means
-    // concurrent readers never hit an epoch gap — no reader ever forks
-    // or waits while a writer churns.  With no readers (invalidate
-    // returns null) writes stay zero-COW.
-    if (auto retired = ge.epochs.invalidate()) {
-      ge.epochs.pin_or_fork(ge.graph, ge.last_lsn);
-      ctx.server().retire_epoch(std::move(retired));
+    return reply;
+  };
+
+  // Read path: pin the current MVCC epoch and run against that snapshot
+  // with NO entry lock held — an in-flight writer never blocks readers,
+  // and the plan-cache lease discipline is unchanged (acquire rebinds
+  // every lease, here to the snapshot's graph).  Write-capable commands
+  // (GRAPH.QUERY/PROFILE) probe with try_pin only: a write must not
+  // fork an epoch its own commit is about to retire.
+  bool first_acquire_hit = false;
+  bool counted = false;
+  {
+    const auto snap = read_only_cmd ? ctx.pin() : ge.epochs.try_pin();
+    if (snap) {
+      auto lease =
+          ge.plan_cache.acquire(snap->graph(), split.body, split.params);
+      if (lease->read_only()) return run(lease);
+      if (read_only_cmd)
+        return error(
+            "graph.RO_QUERY is to be executed only on read-only queries");
+      first_acquire_hit = lease.hit();
+      counted = true;
     }
-    ctx.mark_epochs_settled();
   }
-  return reply;
+
+  // Write path: exclusive lock (the spec carries kWrite, or
+  // exclusive_lock() would refuse).  Re-acquire the plan — the schema
+  // may have moved between the snapshot probe above and getting this
+  // lock — without counting again: this is still the same logical query.
+  {
+    util::WriteLock lk(ge.lock);
+    auto lease = ge.plan_cache.acquire(ge.graph, split.body, split.params,
+                                       64, /*count_stats=*/!counted);
+    if (counted) lease.set_hit_for_reporting(first_acquire_hit);
+    if (!lease->read_only()) {
+      Reply reply = run(lease);
+      // The commit step; a PROFILE of a writing query replays as the
+      // plain query.
+      ctx.journal({"GRAPH.QUERY", ctx.key(), raw});
+      return reply;
+    }
+    first_acquire_hit = lease.hit();
+  }
+  // Read-only body on a key with no published epoch (fresh or
+  // restored): pin one the way GRAPH.RO_QUERY does and read from it.
+  const auto snap = ctx.pin();
+  auto lease = ge.plan_cache.acquire(snap->graph(), split.body, split.params,
+                                     64, /*count_stats=*/false);
+  lease.set_hit_for_reporting(first_acquire_hit);
+  return run(lease);
 }
 
 Reply CommandHandlers::explain(CommandCtx& ctx) {
@@ -952,22 +932,10 @@ Reply CommandHandlers::bulk(CommandCtx& ctx) {
       return error(e.what());
     }
 
-    // Matrices re-sync before the write lock drops (same as run_query).
-    g.flush();
-
-    // One WAL frame for the whole batch — this is the durability half of
-    // the amortization: N entities cost one append + one fsync.
+    // The commit step, with one WAL frame for the whole batch — this is
+    // the durability half of the amortization: N entities cost one
+    // append + one fsync.
     ctx.journal_batch(argv, nodes_created + edges_created);
-    // Retire the published epoch before the exclusive lock drops (the
-    // ordering graph/snapshot.hpp requires of every writer); the dead
-    // fork is torn down on the coalescer thread, not under this lock.
-    // As in run_query, a retired epoch means readers are active, so
-    // publish the successor before the lock drops (publish-on-commit).
-    if (auto retired = ge.epochs.invalidate()) {
-      ge.epochs.pin_or_fork(ge.graph, ge.last_lsn);
-      ctx.server().retire_epoch(std::move(retired));
-    }
-    ctx.mark_epochs_settled();
   }
 
   Reply r;
@@ -1166,8 +1134,8 @@ Reply CommandHandlers::repl_snapshot(CommandCtx& ctx) {
   parts.push_back(srv.durability_->run_id());
   for (const auto& [key, entry] : items) {
     // Serialize from a pinned epoch: a published snapshot's watermark
-    // equals the live one (writers invalidate before releasing the
-    // exclusive lock), so the gap-free argument above carries over and
+    // equals the live one (the commit step retires it before the WAL
+    // append), so the gap-free argument above carries over and
     // the serialization itself holds no lock.
     const auto snap = srv.pin(*entry);
     std::ostringstream os(std::ios::binary);

@@ -213,25 +213,11 @@ class CommandCtx {
   const std::shared_ptr<GraphEntry>& entry();
 
   /// Pin the entry's current MVCC epoch snapshot (Server::pin): the
-  /// kReadOnly data path.  Lock-free when an epoch is published; forks
-  /// one under a briefly-held shared lock otherwise.  The snapshot (and
-  /// the entry backing it) outlives a concurrent GRAPH.DELETE.
+  /// read data path.  Lock-free when an epoch is published; forks one
+  /// under a briefly-held shared lock on a fresh or restored key.  The
+  /// snapshot (and the entry backing it) outlives a concurrent
+  /// GRAPH.DELETE.
   std::shared_ptr<const graph::GraphSnapshot> pin();
-
-  /// The entry if this command resolved one, else null — dispatch uses
-  /// it to invalidate the published epoch after any kWrite command
-  /// (handlers built in to the table invalidate earlier, under their
-  /// exclusive lock; this is the net for registry-added commands).
-  const std::shared_ptr<GraphEntry>& resolved_entry() const {
-    return entry_;
-  }
-
-  /// Built-in write handlers call this after invalidating (and possibly
-  /// republishing) under their exclusive lock, so the dispatch net
-  /// skips the entry: a second invalidate there would retire the epoch
-  /// publish-on-commit just produced and reopen the gap it closed.
-  void mark_epochs_settled() { epochs_settled_ = true; }
-  bool epochs_settled() const { return epochs_settled_; }
 
   /// Per-graph lock acquisition, tied to the spec's flags: any command
   /// may read-lock its graph, but the exclusive lock is reserved for
@@ -244,7 +230,10 @@ class CommandCtx {
   /// They exist for registry-added commands (tests, embedders) outside
   /// the analyzed tree; built-in handlers take util::SharedLock /
   /// util::WriteLock on entry()->lock directly so the analysis sees
-  /// their guarded-data accesses.
+  /// their guarded-data accesses.  A kWrite command that mutates under
+  /// exclusive_lock() must end its write section with journal() before
+  /// the lock drops: that call is the commit step, and without it
+  /// readers keep the epoch published before the write.
   std::shared_lock<util::SharedMutex> shared_lock();
   std::unique_lock<util::SharedMutex> exclusive_lock();
 
@@ -254,16 +243,23 @@ class CommandCtx {
   bool replaying() const { return source_ != CommandSource::kClient; }
   bool durable() const;
 
-  /// Journal one frame after commit, before the reply is released.
+  /// The commit step: every write ends here, under its exclusive entry
+  /// lock, after mutating and before the reply is released.  In order it
+  /// (1) retires the entry's published MVCC epoch, BEFORE the append,
+  /// (2) flushes the live graph, (3) appends `frame` to the WAL and
+  /// advances the entry's snapshot watermark (last_lsn), (4) republishes
+  /// a successor epoch at the new watermark if one was retired (readers
+  /// are active), and (5) hands the retired epoch to the reaper thread.
+  /// Steps 1, 2, 4 and 5 need a resolved entry(); commands that manage
+  /// the keyspace itself (GRAPH.DELETE/RESTORE) only append.
+  ///
   /// Gated on the table, not the handler: a spec without kWrite cannot
-  /// journal (std::logic_error).  No-op returning 0 when durability is
-  /// off or when the dispatch is not client traffic (replay/replication
-  /// re-applies frames that are already in a journal — theirs or the
-  /// primary's).  When entry() was resolved, the append is
-  /// guarded against a concurrent unlink (GRAPH.DELETE/RESTORE) and the
-  /// entry's snapshot watermark (last_lsn) advances with the append —
-  /// callers must hold the exclusive lock, so the watermark moves in
-  /// lock-step with the graph state a concurrent snapshot would see.
+  /// journal (std::logic_error).  The append (step 3) is skipped, and 0
+  /// returned, when durability is off or when the dispatch is not client
+  /// traffic (replay/replication re-applies frames that are already in
+  /// a journal — theirs or the primary's).  With a resolved entry the
+  /// append is guarded against a concurrent unlink (GRAPH.DELETE/
+  /// RESTORE).  Returns the frame's LSN.
   std::uint64_t journal(const std::vector<std::string>& frame);
 
   /// journal() for batched ingestion: the whole batch is one WAL frame
@@ -277,7 +273,11 @@ class CommandCtx {
   const std::vector<std::string>& argv_;
   CommandSource source_;
   std::shared_ptr<GraphEntry> entry_;
-  bool epochs_settled_ = false;
+
+  /// journal()/journal_batch(): the commit step; `batch_entities` is
+  /// null for a plain frame.
+  std::uint64_t commit(const std::vector<std::string>& frame,
+                       const std::uint64_t* batch_entities);
 };
 
 /// Built-in handlers (friend of Server); each is one registry row,

@@ -1,6 +1,5 @@
 #include "server/net_server.hpp"
 
-#include <future>
 #include <string>
 #include <utility>
 
@@ -78,28 +77,17 @@ void NetServer::serve_connection(std::shared_ptr<Connection> conn) {
       if (got == 0) break;  // EOF: client closed its write side
       parser.feed(std::string_view(buf, got));
 
-      // Submit every command buffered so far before waiting on any reply:
-      // a pipelined burst fans out across the worker pool.  Replies are
-      // appended strictly in request order.
-      std::vector<std::future<Reply>> pending;
+      // Execute every command buffered so far strictly in request order,
+      // as Redis does: a pipelined write is applied before the next
+      // command of the same connection runs.  Replies go out in one write.
       std::string out;
-      auto drain = [&] {
-        for (auto& f : pending) out += f.get().to_resp();
-        pending.clear();
-      };
       for (;;) {
         auto req = parser.next();
         if (req.status == RespRequestParser::Status::kNeedMore) break;
-        if (req.status == RespRequestParser::Status::kError) {
-          // Keep reply order: everything submitted before the bad frame
-          // answers first, then the protocol error.
-          drain();
-          out += resp_error(req.error);
-          continue;
-        }
-        pending.push_back(core_.submit(std::move(req.argv)));
+        out += req.status == RespRequestParser::Status::kError
+                   ? resp_error(req.error)
+                   : core_.execute(std::move(req.argv)).to_resp();
       }
-      drain();
       if (!out.empty()) conn->stream.write_all(out);
     }
   } catch (const std::exception&) {

@@ -5,11 +5,12 @@
 //  * one **acceptor** thread blocks in accept() on the listening socket,
 //  * each connection gets a lightweight **reader** thread that decodes
 //    RESP frames (server/resp.hpp RespRequestParser) and forwards every
-//    complete command to Server::submit() — i.e. into the fixed worker
+//    complete command to Server::execute() — i.e. into the fixed worker
 //    pool, where each query executes on exactly one worker,
-//  * pipelining: all commands already buffered are submitted as a batch,
-//    so a pipelined burst fans out across workers; replies are written
-//    back strictly in request order, as RESP requires.
+//  * pipelining: one connection's commands execute strictly in request
+//    order, each finishing before the next starts (as in Redis); the
+//    replies to everything already buffered go back in one write.
+//    Concurrency comes from many connections, not from one pipeline.
 //
 // Protocol errors produce an -ERR reply and the parser resynchronizes;
 // the connection is only closed on EOF or socket failure.

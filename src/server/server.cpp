@@ -13,9 +13,9 @@ Server::Server(std::size_t worker_threads, const DurabilityConfig& durability)
   // later (tests, embedders) overflow into extra_stats_.
   stats_size_ = CommandRegistry::instance().size();
   stats_ = std::make_unique<StatSlot[]>(stats_size_);
-  // The MVCC coalescer runs regardless of durability: epoch snapshots
+  // The epoch reaper runs regardless of durability: epoch snapshots
   // exist whenever readers pin, not only on durable servers.
-  coalesce_thread_ = std::thread([this] { coalesce_loop(); });
+  reap_thread_ = std::thread([this] { reap_loop(); });
   if (durability.data_dir.empty()) return;
   durability_ = std::make_unique<persist::DurabilityManager>(
       durability.data_dir, durability.options);
@@ -42,13 +42,13 @@ Server::~Server() {
     compact_cv_.notify_all();
     compaction_thread_.join();
   }
-  if (coalesce_thread_.joinable()) {
+  if (reap_thread_.joinable()) {
     {
-      util::MutexLock lk(coalesce_mu_);
-      coalesce_stop_ = true;
+      util::MutexLock lk(reap_mu_);
+      reap_stop_ = true;
     }
-    coalesce_cv_.notify_all();
-    coalesce_thread_.join();
+    reap_cv_.notify_all();
+    reap_thread_.join();
   }
 }
 
@@ -114,72 +114,40 @@ void Server::compaction_loop() {
 }
 
 // ---------------------------------------------------------------------------
-// MVCC: snapshot pinning and the background coalescer
+// MVCC: snapshot pinning and the epoch reaper
 // ---------------------------------------------------------------------------
 
 std::shared_ptr<const graph::GraphSnapshot> Server::pin(GraphEntry& ge) {
-  // Fast path: a published epoch reflects every acknowledged write
-  // (writers invalidate before releasing their exclusive lock), so the
-  // pin is lock-free against both writers and other readers.
+  // A published epoch reflects every acknowledged write (the commit step
+  // retires it before the WAL append and republishes before unlocking),
+  // so the pin is lock-free against both writers and other readers.
   if (auto snap = ge.epochs.try_pin()) return snap;
-  // Slow path, single-flighted: one pinner forks the live graph under
-  // the shared lock (held only for the O(delta) fork, never for the
-  // query that follows); concurrent slow pinners wait for its publish
-  // instead of piling redundant forks onto the entry lock.
-  bool forked = false;
-  auto snap = ge.epochs.pin_single_flight([&] {
-    util::SharedLock lk(ge.lock);
-    forked = true;
-    return ge.epochs.pin_or_fork(ge.graph, ge.last_lsn);
-  });
-  if (forked) enqueue_coalesce(snap);
-  return snap;
-}
-
-void Server::enqueue_coalesce(
-    std::weak_ptr<const graph::GraphSnapshot> snap) {
-  {
-    util::MutexLock lk(coalesce_mu_);
-    coalesce_q_.push_back(std::move(snap));
-  }
-  coalesce_cv_.notify_one();
+  // Fresh or restored key: fork the live graph under the shared lock,
+  // held only for the O(delta) fork, never for the query that follows.
+  util::SharedLock lk(ge.lock);
+  return ge.epochs.pin_or_fork(ge.graph, ge.last_lsn);
 }
 
 void Server::retire_epoch(std::shared_ptr<const graph::GraphSnapshot> snap) {
   if (!snap) return;
   {
-    util::MutexLock lk(coalesce_mu_);
+    util::MutexLock lk(reap_mu_);
     retire_q_.push_back(std::move(snap));
   }
-  coalesce_cv_.notify_one();
+  reap_cv_.notify_one();
 }
 
-void Server::coalesce_loop() {
+void Server::reap_loop() {
   for (;;) {
-    std::weak_ptr<const graph::GraphSnapshot> weak;
     std::shared_ptr<const graph::GraphSnapshot> dead;
     {
-      util::MutexLock lk(coalesce_mu_);
-      while (!coalesce_stop_ && coalesce_q_.empty() && retire_q_.empty())
-        coalesce_cv_.wait(coalesce_mu_);
-      if (coalesce_stop_) return;
-      // Drain retirements first: tearing down dead epochs (this thread
-      // holds their last reference) frees memory before folding work.
-      if (!retire_q_.empty()) {
-        dead = std::move(retire_q_.front());
-        retire_q_.pop_front();
-      } else {
-        weak = std::move(coalesce_q_.front());
-        coalesce_q_.pop_front();
-      }
+      util::MutexLock lk(reap_mu_);
+      while (!reap_stop_ && retire_q_.empty()) reap_cv_.wait(reap_mu_);
+      if (reap_stop_) return;
+      dead = std::move(retire_q_.front());
+      retire_q_.pop_front();
     }
-    if (dead) {
-      dead.reset();  // the forked graph's teardown, off the hot path
-      continue;
-    }
-    // An epoch all readers already dropped retires instead of being
-    // folded — coalescing it would be wasted work.
-    if (const auto snap = weak.lock()) snap->coalesce();
+    dead.reset();  // the forked graph's teardown, off the hot path
   }
 }
 
@@ -198,7 +166,6 @@ Server::MvccInfo Server::mvcc_info() const {
     info.pins_fast += s.pins_fast.load();
     info.pins_slow += s.pins_slow.load();
     info.invalidations += s.invalidations.load();
-    info.coalesce_runs += s.coalesce_runs.load();
     util::SharedLock lk(e->lock);
     const auto [plus, minus] = e->graph.delta_counts();
     info.delta_plus += plus;
@@ -227,7 +194,7 @@ void Server::do_rewrite() {
   //    in the new log, and if it is also inside a snapshot its LSN is
   //    at or below that snapshot's watermark, so replay skips it (the
   //    pinned epoch's state and watermark advance in lock-step because
-  //    writers invalidate before releasing the exclusive lock).
+  //    the commit step retires the epoch before its WAL append).
   std::vector<std::pair<std::string, std::shared_ptr<GraphEntry>>> items;
   {
     util::MutexLock lk(keyspace_mu_);
@@ -308,7 +275,7 @@ Reply Server::execute_line(const std::string& line) {
 graph::Graph& Server::graph_for_testing(const std::string& key)
     RG_NO_THREAD_SAFETY_ANALYSIS {
   const auto entry = entry_for(key);
-  retire_epoch(entry->epochs.invalidate());
+  retire_epoch(entry->epochs.invalidate());  // lint:allow(mvcc-api): backdoor
   return entry->graph;
 }
 
@@ -420,20 +387,12 @@ Reply Server::dispatch(const std::vector<std::string>& argv,
 
   const auto start = std::chrono::steady_clock::now();
   Reply reply;
-  std::shared_ptr<GraphEntry> mutated;
   try {
     CommandCtx ctx(*this, *spec, argv, source);
     reply = spec->handler(ctx);
-    if ((spec->flags & kWrite) && !ctx.epochs_settled())
-      mutated = ctx.resolved_entry();
   } catch (const std::exception& e) {
     reply = {Reply::Kind::kError, e.what(), {}};
   }
-  // Epoch-invalidation net: built-in write handlers invalidate under
-  // their exclusive lock (the ordering graph/snapshot.hpp requires);
-  // this catches registry-added kWrite commands that mutate through
-  // the escape-hatch locks without knowing about epochs.
-  if (mutated) retire_epoch(mutated->epochs.invalidate());
   const auto usec = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)

@@ -90,8 +90,9 @@ struct GraphEntry {
   /// snapshots under the shared lock.
   std::uint64_t last_lsn RG_GUARDED_BY(lock) = 0;
   /// MVCC epoch chain for this graph (see graph/snapshot.hpp).  Readers
-  /// pin snapshots through Server::pin(); writers invalidate the
-  /// published epoch before releasing their exclusive `lock`.
+  /// pin snapshots through Server::pin(); the commit step
+  /// (CommandCtx::journal) retires and republishes it under the
+  /// exclusive `lock`.
   graph::EpochManager epochs;
   /// Set (before the unlink frame is journaled) when GRAPH.DELETE or
   /// GRAPH.RESTORE removes this entry from the keyspace: a write
@@ -221,9 +222,8 @@ class Server {
     std::uint64_t epochs_published = 0;  // snapshots ever forked
     std::uint64_t epochs_live = 0;       // snapshots still pinned/queued
     std::uint64_t pins_fast = 0;         // lock-free pin hits
-    std::uint64_t pins_slow = 0;         // pins that forked a snapshot
+    std::uint64_t pins_slow = 0;         // forks that published an epoch
     std::uint64_t invalidations = 0;     // writer commits observed
-    std::uint64_t coalesce_runs = 0;     // background coalescer passes
     std::uint64_t delta_plus = 0;        // buffered matrix insertions
     std::uint64_t delta_minus = 0;       // buffered matrix deletions
   };
@@ -287,23 +287,22 @@ class Server {
   void drop_all_graphs();
 
   // -- MVCC snapshot pinning (the kReadOnly path) ------------------------
-  /// Pin the entry's current epoch snapshot.  Fast path: lock-free
-  /// against writers (EpochManager::try_pin).  Slow path (a writer
-  /// invalidated, or nothing published yet): takes the entry lock
-  /// SHARED just long enough to fork O(delta), publishes the fork, and
-  /// hands the new epoch to the background coalescer.  The returned
-  /// snapshot stays valid after GRAPH.DELETE unlinks the key — the
-  /// epoch retires when its last pin drops.
+  /// Pin the entry's current epoch snapshot.  Lock-free when an epoch
+  /// is published (EpochManager::try_pin) — always, once a reader has
+  /// pinned, because every commit republishes.  On a fresh or restored
+  /// key it takes the entry lock SHARED just long enough to fork
+  /// O(delta) and publish.  The returned snapshot stays valid after
+  /// GRAPH.DELETE unlinks the key — the epoch retires when its last pin
+  /// drops.
   std::shared_ptr<const graph::GraphSnapshot> pin(GraphEntry& ge);
-  /// Queue a freshly published epoch for background coalescing.
-  void enqueue_coalesce(std::weak_ptr<const graph::GraphSnapshot> snap);
-  /// Defer a retired epoch's destruction to the coalescer thread.
-  /// Writers call this with EpochManager::invalidate()'s return value
-  /// while still holding their exclusive entry lock; tearing down the
-  /// forked graph inline there (often the last reference once readers
-  /// moved on) would stall every concurrent pin for the teardown.
+  /// Defer a retired epoch's destruction to the reaper thread.  The
+  /// commit step calls this with EpochManager::invalidate()'s return
+  /// value while still holding its exclusive entry lock; tearing down
+  /// the forked graph inline there (often the last reference once
+  /// readers moved on) would stall the writer and every reader behind
+  /// it.
   void retire_epoch(std::shared_ptr<const graph::GraphSnapshot> snap);
-  void coalesce_loop();
+  void reap_loop();
 
   // -- metrics / slowlog -------------------------------------------------
   struct StatSlot {
@@ -360,21 +359,17 @@ class Server {
   bool compact_stop_ RG_GUARDED_BY(compact_mu_) = false;
   std::thread compaction_thread_;
 
-  // -- MVCC coalescer ----------------------------------------------------
-  // Folds settled deltas on freshly published snapshots off the query
-  // path (same shape as the compaction thread).  Runs regardless of
-  // durability: epochs exist whenever readers pin.
-  util::Mutex coalesce_mu_;
-  util::CondVar coalesce_cv_;
-  std::deque<std::weak_ptr<const graph::GraphSnapshot>> coalesce_q_
-      RG_GUARDED_BY(coalesce_mu_);
+  // -- MVCC epoch reaper --------------------------------------------------
   // Retired epochs awaiting teardown: the strong references here make
-  // the coalescer thread the last holder, so forked graphs are never
-  // destroyed on a query thread (let alone under an entry lock).
+  // the reaper thread the last holder, so forked graphs are never
+  // destroyed on a query thread (let alone under an entry lock).  Runs
+  // regardless of durability: epochs exist whenever readers pin.
+  util::Mutex reap_mu_;
+  util::CondVar reap_cv_;
   std::deque<std::shared_ptr<const graph::GraphSnapshot>> retire_q_
-      RG_GUARDED_BY(coalesce_mu_);
-  bool coalesce_stop_ RG_GUARDED_BY(coalesce_mu_) = false;
-  std::thread coalesce_thread_;
+      RG_GUARDED_BY(reap_mu_);
+  bool reap_stop_ RG_GUARDED_BY(reap_mu_) = false;
+  std::thread reap_thread_;
 
   // -- replication hub ---------------------------------------------------
   std::atomic<Role> role_{Role::kPrimary};

@@ -16,7 +16,7 @@
 // spine is keyspace_mu_/rewrite_mu_ -> GraphEntry::lock ->
 // DurabilityManager::mu_ -> WalWriter::mu_; everything else
 // (PlanCache::mu_, Matrix mu_, Graph::sync_mu_, EpochManager::mu_,
-// the slowlog/stats/compaction/coalescer mutexes) is a leaf, never
+// the slowlog/stats/compaction/epoch-reaper mutexes) is a leaf, never
 // held across a call that takes another lock.
 #pragma once
 

@@ -1,8 +1,9 @@
-// MVCC epoch lifecycle edge cases: pin -> delta-apply -> coalesce ->
+// MVCC epoch lifecycle edge cases: pin -> delta-apply -> commit ->
 // retire (see docs/CONCURRENCY.md).  Covers the snapshot-pin protocol
 // at the graph layer (EpochManager + Graph::fork) and the server wiring
-// (lock-free kReadOnly path, write-commit invalidation, GRAPH.BULK
-// through the delta path, replication apply vs replica-local pins).
+// (lock-free read path, the commit step's retire-before-append and
+// republish, GRAPH.BULK through the delta path, replication apply vs
+// replica-local pins).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 
 #include "graph/graph.hpp"
 #include "graph/snapshot.hpp"
+#include "server/command.hpp"
 #include "server/net_server.hpp"
 #include "server/server.hpp"
 #include "util/temp_dir.hpp"
@@ -124,7 +126,7 @@ TEST(EpochLifecycle, LiveMutationsNeverReachTheSnapshot) {
   EXPECT_EQ(idx->entry_count(), 0u);  // the attr write hit the live clone
 }
 
-// The background coalescer folds a snapshot's buffered deltas while
+// A fork of an unflushed graph folds its buffered deltas while
 // long-running readers keep reading it: fold-at-most-once on a fork,
 // and every accessor waits first (invariants [M1]-[M3], matrix.hpp).
 TEST(EpochLifecycle, CoalesceRacesLongRunningReaders) {
@@ -146,7 +148,7 @@ TEST(EpochLifecycle, CoalesceRacesLongRunningReaders) {
       }
     });
   }
-  for (int i = 0; i < 50; ++i) snap->coalesce();
+  for (int i = 0; i < 50; ++i) snap->graph().flush();
   std::this_thread::sleep_for(20ms);
   stop.store(true);
   for (auto& th : readers) th.join();
@@ -202,6 +204,25 @@ TEST_F(MvccServerFixture, BulkBatchesReachTheNextEpoch) {
   // Repeating the batch mutates the SAME graph's deltas again.
   ASSERT_TRUE(srv_.execute(argv).ok());
   EXPECT_EQ(count("g"), 200);
+}
+
+// A read-only GRAPH.QUERY runs on the published epoch and leaves it
+// published: reads neither retire it nor fork a successor.
+TEST_F(MvccServerFixture, QueryReadsKeepThePublishedEpoch) {
+  ASSERT_TRUE(srv_.execute({"GRAPH.QUERY", "g", "CREATE (:P)"}).ok());
+  EXPECT_EQ(count("g"), 1);  // RO_QUERY publishes the first epoch
+  const std::int64_t invalidations = info_mvcc("MVCC_INVALIDATIONS");
+  const std::int64_t published = info_mvcc("MVCC_EPOCHS_PUBLISHED");
+  const std::int64_t slow = info_mvcc("MVCC_PINS_SLOW");
+  for (int i = 0; i < 100; ++i) {
+    const auto r =
+        srv_.execute({"GRAPH.QUERY", "g", "MATCH (n) RETURN count(*)"});
+    ASSERT_TRUE(r.ok()) << r.text;
+    EXPECT_EQ(r.result.rows[0][0].as_int(), 1);
+  }
+  EXPECT_EQ(info_mvcc("MVCC_INVALIDATIONS"), invalidations);
+  EXPECT_EQ(info_mvcc("MVCC_EPOCHS_PUBLISHED"), published);
+  EXPECT_EQ(info_mvcc("MVCC_PINS_SLOW"), slow);
 }
 
 // Readers never block on an active writer and always observe a
@@ -260,6 +281,55 @@ TEST_F(MvccServerFixture, DeleteWhileReadersPin) {
   stop.store(true);
   for (auto& th : readers) th.join();
   EXPECT_EQ(errors.load(), 0);
+}
+
+// --- commit step vs snapshot rewrite --------------------------------------
+
+/// TEST.ADD_THEN_REWRITE <key>: a registry-added write that adds one
+/// node, commits through journal(), drops its lock and forces a
+/// snapshot rewrite before returning.
+server::Reply add_then_rewrite(server::CommandCtx& ctx) {
+  {
+    const auto& ge = ctx.entry();
+    auto lk = ctx.exclusive_lock();
+    graph::Graph& g = ge->graph;
+    g.add_node({g.schema().add_label("N")});
+    ctx.journal(ctx.argv());
+  }
+  ctx.server().force_snapshot();
+  return {server::Reply::Kind::kStatus, "OK", {}};
+}
+
+// The commit step retires the published epoch before the WAL append, so
+// a rewrite that runs between a write's append and the end of its
+// command snapshots that write instead of dropping the log that holds
+// it: both acknowledged nodes survive a restart.
+TEST(MvccDurability, RewriteRightAfterCommitKeepsTheWrite) {
+  auto& reg = server::CommandRegistry::instance();
+  if (!reg.find("TEST.ADD_THEN_REWRITE"))
+    reg.register_command({"TEST.ADD_THEN_REWRITE", 2, 2,
+                          server::kWrite | server::kGraphKeyed,
+                          "add one node, then force a rewrite (test)",
+                          &add_then_rewrite});
+  test::TempDir dir;
+  server::DurabilityConfig dc;
+  dc.data_dir = dir.path();
+  dc.options.fsync = persist::FsyncPolicy::kNo;
+  const std::vector<std::string> count = {"GRAPH.RO_QUERY", "g",
+                                          "MATCH (n:N) RETURN count(n)"};
+  {
+    server::Server srv(2, dc);
+    ASSERT_TRUE(srv.execute({"GRAPH.QUERY", "g", "CREATE (:N)"}).ok());
+    const auto r = srv.execute(count);  // publishes an epoch
+    ASSERT_TRUE(r.ok()) << r.text;
+    ASSERT_EQ(r.result.rows[0][0].as_int(), 1);
+    const auto w = srv.execute({"TEST.ADD_THEN_REWRITE", "g"});
+    ASSERT_TRUE(w.ok()) << w.text;
+  }
+  server::Server srv(2, dc);
+  const auto r = srv.execute(count);
+  ASSERT_TRUE(r.ok()) << r.text;
+  EXPECT_EQ(r.result.rows[0][0].as_int(), 2);
 }
 
 // Replication apply (CommandSource::kReplication) mutates the replica's

@@ -104,6 +104,42 @@ TEST_F(NetServerFixture, PipelinedBatchRepliesInOrder) {
   EXPECT_EQ(c.read_reply().text, "PONG");
 }
 
+// A connection's pipelined commands execute in request order, each
+// finishing before the next starts (Redis semantics): a count sent right
+// behind N creates in the same burst sees all N of them.  The leading
+// read publishes an epoch, so every count reads a pinned snapshot
+// without waiting on the lock a still-running create would hold; one
+// count behind each create, over several bursts, makes any reordering
+// visible.
+TEST_F(NetServerFixture, PipelinedCreatesThenCountSeesEveryWrite) {
+  constexpr int kCreates = 40;
+  constexpr int kBursts = 5;
+  const std::vector<std::string> count = {"GRAPH.RO_QUERY", "pipe",
+                                          "MATCH (n:N) RETURN count(n)"};
+  Client c(net_.port());
+  auto read_count = [&] {
+    const auto r = c.read_reply();
+    EXPECT_EQ(r.kind, RespValue::Kind::kArray) << r.text;
+    return r.kind == RespValue::Kind::kArray
+               ? r.elems[1].elems[0].elems[0].integer
+               : -1;
+  };
+  for (int b = 0; b < kBursts; ++b) {
+    std::string burst = encode_command(count);
+    for (int i = 0; i < kCreates; ++i) {
+      burst += encode_command({"GRAPH.QUERY", "pipe", "CREATE (:N)"});
+      burst += encode_command(count);
+    }
+    c.send_raw(burst);
+
+    EXPECT_EQ(read_count(), b * kCreates);
+    for (int i = 1; i <= kCreates; ++i) {
+      ASSERT_EQ(c.read_reply().kind, RespValue::Kind::kArray);
+      EXPECT_EQ(read_count(), b * kCreates + i);
+    }
+  }
+}
+
 TEST_F(NetServerFixture, FragmentedFrameAcrossWrites) {
   Client c(net_.port());
   const std::string wire =
