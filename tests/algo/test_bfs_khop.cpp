@@ -116,9 +116,12 @@ std::uint64_t ref_khop(const gb::Matrix<gb::Bool>& A, gb::Index seed,
   return count;
 }
 
+// gtest names each case by the struct's raw bytes; `k` is 64-bit so the
+// struct has no padding, whose uninitialised bytes made those names differ
+// from build to build.
 struct KhopCase {
   std::uint64_t seed;
-  unsigned k;
+  std::uint64_t k;
 };
 
 class KhopTest : public ::testing::TestWithParam<KhopCase> {};

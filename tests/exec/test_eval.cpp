@@ -51,6 +51,11 @@ struct TriCase {
   int expect;  // 1 = true, 0 = false, -1 = null
 };
 
+// Name each case by its expression. Without this gtest prints the struct's
+// raw bytes, and the `expr` pointer in them changes with every process, so
+// the discovered ctest names changed from build to build.
+void PrintTo(const TriCase& c, std::ostream* os) { *os << c.expr; }
+
 class TriLogicTest : public ::testing::TestWithParam<TriCase> {};
 
 TEST_P(TriLogicTest, TruthTable) {
